@@ -11,8 +11,11 @@ package main
 // haswell.BuildModel(…, AnalysisSet()).
 
 import (
+	"encoding/json"
 	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"regexp"
 	"sort"
 	"strings"
@@ -136,11 +139,19 @@ func corpusSpec(seed int64) haswell.CorpusSpec {
 	return haswell.CorpusSpec{Samples: 2 * obsRows, UopsPerSample: 3000, Seed: seed}
 }
 
-// newObsPool simulates the pool's base corpora, projected onto the
+// newObsPool returns the pool's base corpora, projected onto the
 // analysis set (the counters every restricted model is analysed over).
+// The corpora do not depend on the run's seed, so the first run in a
+// checkout simulates them and saves them under .bench_build/cache; later
+// runs load that file instead of simulating again.
 func newObsPool() (*obsPool, error) {
-	set := haswell.AnalysisSet()
+	path := filepath.Join(".bench_build", "cache", fmt.Sprintf("obspool-%d-%d.json", poolCorpora, obsRows))
 	p := &obsPool{}
+	if b, err := os.ReadFile(path); err == nil && json.Unmarshal(b, &p.base) == nil && len(p.base) > 0 {
+		return p, nil
+	}
+	p.base = nil
+	set := haswell.AnalysisSet()
 	for k := int64(1); k <= poolCorpora; k++ {
 		base, err := haswell.BuildCorpus(corpusSpec(k))
 		if err != nil {
@@ -152,7 +163,34 @@ func newObsPool() (*obsPool, error) {
 			p.base = append(p.base, o)
 		}
 	}
-	return p, nil
+	return p, saveFile(path, p.base)
+}
+
+// saveFile writes v as JSON to path through a temporary file and a
+// rename, so a concurrent or interrupted run never reads half a file.
+func saveFile(path string, v any) error {
+	b, err := json.Marshal(v)
+	if err != nil {
+		return err
+	}
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+		return err
+	}
+	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".*")
+	if err != nil {
+		return err
+	}
+	_, err = tmp.Write(b)
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp.Name(), path)
+	}
+	if err != nil {
+		os.Remove(tmp.Name())
+	}
+	return err
 }
 
 // obsStream is one deterministic sequence of derived observations;
@@ -181,15 +219,14 @@ func (s *obsStream) next() *counters.Observation {
 	return o
 }
 
-// featureCombos draws the writer's pool of never-seen Haswell feature
-// combinations: every aggregate-reference combination in a fixed shuffled
-// order, skipping any whose restricted source equals a catalogue model's
-// or an earlier draw's. Deduction cost grows with the cone's generator
-// count, so the draws are split into comboStrata strata by generator
-// count and dealt out round-robin: every stretch of the sequence has the
-// same mix of cheap and expensive models. The run's seed picks where in
-// the sequence the writer starts.
-func featureCombos(catalog map[string]restrictedModel, limit int) ([]restrictedModel, error) {
+// featureCombos draws the writer's never-seen Haswell feature
+// combinations: every aggregate-reference combination in one fixed
+// shuffled order, skipping any whose restricted source equals a catalogue
+// model's or an earlier draw's. The order does not depend on the run's
+// seed: deduction cost grows with the cone's size, so a seeded draw would
+// make register_* follow the seed; with one order every run registers the
+// same models in the same sequence.
+func featureCombos(catalog map[string]restrictedModel, limit int) []restrictedModel {
 	var all []haswell.ModelFeatures
 	for mask := 0; mask < 1<<9; mask++ {
 		on := func(bit int) bool { return mask&(1<<bit) != 0 }
@@ -217,13 +254,9 @@ func featureCombos(catalog map[string]restrictedModel, limit int) ([]restrictedM
 		seen[bodyKey(m.Source)] = true
 	}
 	set := haswell.AnalysisSet()
-	type sized struct {
-		src  string
-		gens int
-	}
-	var draws []sized
+	var out []restrictedModel
 	for _, f := range all {
-		if len(draws) == limit {
+		if len(out) == limit {
 			break
 		}
 		src := stripSource(haswell.GenerateDSL(f), set)
@@ -231,27 +264,10 @@ func featureCombos(catalog map[string]restrictedModel, limit int) ([]restrictedM
 			continue
 		}
 		seen[bodyKey(src)] = true
-		m, err := core.ModelFromDSL("combo", src, nil)
-		if err != nil {
-			return nil, err
-		}
-		draws = append(draws, sized{src, len(m.Cone().Generators)})
+		out = append(out, restrictedModel{Name: fmt.Sprintf("w%04d", len(out)), Source: src})
 	}
-	// Stable sort keeps the seeded order within equal sizes.
-	sort.SliceStable(draws, func(i, j int) bool { return draws[i].gens < draws[j].gens })
-	per := len(draws) / comboStrata
-	out := make([]restrictedModel, 0, per*comboStrata)
-	for r := 0; r < per; r++ {
-		for st := 0; st < comboStrata; st++ {
-			out = append(out, restrictedModel{Name: fmt.Sprintf("w%04d", len(out)), Source: draws[st*per+r].src})
-		}
-	}
-	return out, nil
+	return out
 }
-
-// comboStrata is the number of cost strata the writer's draws rotate
-// through.
-const comboStrata = 8
 
 // bodyKey is a DSL source without its comment lines, so two combinations
 // that generate the same model under different feature labels compare

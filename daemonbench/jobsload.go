@@ -33,15 +33,16 @@ import (
 //
 // Sweep k of every run uses seed sweepSeedBase+1+k. A sweep's cost moves
 // by ±25% with its seed (how many behaviour classes the exact solver must
-// decide), and a run has room for about three sweeps, so seeding them from
-// the run's seed would make the metric follow the seed; with the fixed
-// sequence every run scans the same grids. Explore corpora do follow the
-// run's seed: each is a seeded subset of exploreRows sample rows of every
+// decide), and a run has room for two sweeps, so seeding them from the
+// run's seed would make the metric follow the seed; with the fixed
+// sequence every run scans the same grids. The explore corpus does follow
+// the run's seed: a seeded subset of exploreRows sample rows of every
 // observation of one fixed simulated corpus, so its content varies while
-// its difficulty stays put.
+// its difficulty stays put. Every explore of a run submits that one
+// corpus; an explore runs on a private engine, so a resubmission costs
+// what the first did and must return the same result.
 const (
 	sweepSeedBase = 1000
-	exploreJobs   = 8
 	exploreRows   = 12
 )
 
@@ -57,6 +58,7 @@ type jobRun struct {
 	spec     jobSpec
 	id       string
 	took     time.Duration // submit → terminal event
+	evalTook time.Duration // sweep: "planned" event → last "cell" event
 	state    string
 	cellEvts int
 	nodes    []nodeJSON // explore: each evaluated node, in event order
@@ -98,12 +100,11 @@ type sweepCellJSON struct {
 
 // jobsInputs are the seeded job bodies, generated before timing.
 type jobsInputs struct {
-	seed    int64
-	corpora [][]byte // explore request bodies
+	explore []byte // explore request body
 }
 
 func newJobsInputs(env *runEnv) (*jobsInputs, error) {
-	in := &jobsInputs{seed: env.seed}
+	in := &jobsInputs{}
 	spec := haswell.QuickCorpusSpec()
 	spec.Samples = 2 * exploreRows
 	base, err := haswell.BuildCorpus(spec)
@@ -112,46 +113,40 @@ func newJobsInputs(env *runEnv) (*jobsInputs, error) {
 	}
 	set := haswell.AnalysisSet()
 	rng := env.rng(streamExploreObs)
-	for k := 0; k < exploreJobs; k++ {
-		corpus := make([]*counters.Observation, len(base))
-		for i, b := range base {
-			b = b.Project(set)
-			idx := rng.Perm(b.Len())[:exploreRows]
-			sort.Ints(idx)
-			o := counters.NewObservation(fmt.Sprintf("%s#%d", b.Label, k), b.Set)
-			for _, r := range idx {
-				o.Append(b.Samples[r])
-			}
-			corpus[i] = o
+	corpus := make([]*counters.Observation, len(base))
+	for i, b := range base {
+		b = b.Project(set)
+		idx := rng.Perm(b.Len())[:exploreRows]
+		sort.Ints(idx)
+		o := counters.NewObservation(b.Label, b.Set)
+		for _, r := range idx {
+			o.Append(b.Samples[r])
 		}
-		body, err := json.Marshal(map[string]any{"catalog": "haswell-mmu", "observations": corpus, "workers": 1})
-		if err != nil {
-			return nil, err
-		}
-		in.corpora = append(in.corpora, body)
+		corpus[i] = o
 	}
-	return in, nil
+	in.explore, err = json.Marshal(map[string]any{"catalog": "haswell-mmu", "observations": corpus, "workers": 1})
+	return in, err
 }
 
 // job returns the k-th submission of the loop: explores at even k, sweeps
-// at odd k. Starting with the short explore puts the second sweep's start
-// (about 17 s in on a 2-core machine) well inside the run, so every run
-// completes the metricJobs prefix of each kind.
+// at odd k, so the loop's first metricJobs jobs hold the explores and
+// sweeps the metrics summarise.
 func (in *jobsInputs) job(k int) jobSpec {
 	if k%2 == 1 {
 		seed := int64(sweepSeedBase + 1 + k/2)
 		body, _ := json.Marshal(map[string]int64{"seed": seed, "workers": 1}) // a map of ints always marshals
 		return jobSpec{kind: "sweep", seed: seed, body: body}
 	}
-	return jobSpec{kind: "explore", body: in.corpora[(k/2)%len(in.corpora)]}
+	return jobSpec{kind: "explore", body: in.explore}
 }
 
-// metricJobs is how many jobs of each kind, from the start of the loop,
-// the metrics summarise. How many more fit in the run depends on the
-// machine's speed at the time, and letting them in would change which
-// grids the medians cover from run to run; they are still run and
-// checked.
-const metricJobs = 2
+// metricJobs is how many jobs, from the start of the loop, the metrics
+// summarise: 3 explores and 2 sweeps. How many more fit in the run
+// depends on the machine's speed at the time, and letting them in would
+// change which grids the medians cover from run to run; they are still
+// run and checked. The median of 3 explores stays put when host
+// contention slows one of them.
+const metricJobs = 5
 
 // runJob submits one job, follows its events to the terminal event and
 // fetches its final status.
@@ -200,6 +195,7 @@ func (r *jobRun) follow(ctx context.Context, c *http.Client, d *daemon) error {
 	}
 	sc := bufio.NewScanner(resp.Body)
 	sc.Buffer(make([]byte, 0, 64<<10), 16<<20)
+	var planned time.Time
 	for sc.Scan() {
 		var ev struct {
 			Kind string `json:"kind"`
@@ -211,8 +207,13 @@ func (r *jobRun) follow(ctx context.Context, c *http.Client, d *daemon) error {
 			return fmt.Errorf("event of %s: %w", r.id, err)
 		}
 		switch ev.Kind {
+		case "planned":
+			planned = time.Now()
 		case "cell":
 			r.cellEvts++
+			if !planned.IsZero() {
+				r.evalTook = time.Since(planned)
+			}
 		case "node-evaluated":
 			if ev.Data.Node != nil {
 				r.nodes = append(r.nodes, *ev.Data.Node)
@@ -229,13 +230,13 @@ func (r *jobRun) follow(ctx context.Context, c *http.Client, d *daemon) error {
 }
 
 // driveJobs runs the closed loop for dur; the job in flight at the
-// deadline runs to its end. On a machine too slow to start the
-// metricJobs-th job of each kind within dur, the loop runs on until it
-// has, so every run's metrics cover the same jobs.
+// deadline runs to its end. On a machine too slow to start the first
+// metricJobs jobs within dur, the loop runs on until it has, so every
+// run's metrics cover the same jobs.
 func driveJobs(ctx context.Context, in *jobsInputs, c *http.Client, d *daemon, dur time.Duration) []jobRun {
 	deadline := time.Now().Add(dur)
 	var runs []jobRun
-	for k := 0; (time.Now().Before(deadline) || k < 2*metricJobs) && ctx.Err() == nil; k++ {
+	for k := 0; (time.Now().Before(deadline) || k < metricJobs) && ctx.Err() == nil; k++ {
 		runs = append(runs, runJob(ctx, c, d, in.job(k)))
 	}
 	return runs
@@ -261,13 +262,14 @@ func runJobs(ctx context.Context, env *runEnv, out *outcome) error {
 	}); err != nil {
 		return err
 	}
-	// Determinism: the first explore and the first sweep again, same
-	// inputs, must give byte-identical results.
-	var again []jobRun
+	// Determinism: the first sweep again, same seed, must commit the same
+	// cells. (Every explore already resubmits the first one's corpus.)
+	var again jobRun
 	if _, err := snapshotPhase(ctx, c, d, "jobs-repeat", out, func() error {
-		for k := 0; k < 2 && k < len(runs); k++ {
-			again = append(again, runJob(ctx, c, d, runs[k].spec))
+		if len(runs) < 2 {
+			return fmt.Errorf("the jobs loop ended after %d jobs: %w", len(runs), ctx.Err())
 		}
+		again = runJob(ctx, c, d, runs[1].spec)
 		return nil
 	}); err != nil {
 		return err
@@ -286,33 +288,41 @@ func runJobs(ctx context.Context, env *runEnv, out *outcome) error {
 
 func reportJobs(runs []jobRun, heap float64, out *outcome) {
 	var sw, ex, all []float64
-	for _, r := range runs {
+	var cells int
+	var evalTook time.Duration
+	for k, r := range runs {
 		if r.err != nil {
 			continue
 		}
 		all = append(all, r.took.Seconds())
 		switch {
-		case r.spec.kind == "sweep" && len(sw) < metricJobs:
+		case k >= metricJobs:
+		case r.spec.kind == "sweep":
 			sw = append(sw, r.took.Seconds())
-		case r.spec.kind == "explore" && len(ex) < metricJobs:
+			cells += r.cellEvts
+			evalTook += r.evalTook
+		default:
 			ex = append(ex, r.took.Seconds())
 		}
 	}
-	swMS := make([]float64, len(sw))
-	total := 0.0
-	for i, x := range sw {
-		swMS[i] = x * 1000
-		total += x
-	}
-	out.add("p50_ms", median(swMS), "ms")
-	out.add("throughput_per_s", float64(sweep.DefaultGrid().Size()*len(sw))/total, "1/s")
+	out.add("p50_ms", median(sw)*1000, "ms")
+	out.add("throughput_per_s", float64(cells)/evalTook.Seconds(), "1/s")
 	out.add("second_p50_ms", median(ex)*1000, "ms")
 	out.figure("sweep_job_s", median(sw), "s")
 	out.figure("explore_job_s", median(ex), "s")
+	out.figure("sweep_cells_per_s", float64(cells)/evalTook.Seconds(), "1/s")
 	out.figure("peak_rss_mb", peakRSSMB(), "MB")
 	out.figure("live_heap_mb", heap, "MB")
-	out.note("jobs: %d jobs %v s (explore, sweep, ...); the metrics cover the first %d sweeps %v s and explores %v s; throughput_per_s is their sweep cells committed per second of sweep job time",
-		len(all), rounded(all), metricJobs, rounded(sw), rounded(ex))
+	var nodes []int
+	for _, r := range runs {
+		if r.spec.kind == "explore" {
+			nodes = append(nodes, len(r.nodes))
+		}
+	}
+	out.note("jobs: %d jobs %v s (explore, sweep, ...), explores evaluated %v nodes; the metrics cover the first %d jobs: sweeps %v s and explores %v s",
+		len(all), rounded(all), nodes, metricJobs, rounded(sw), rounded(ex))
+	out.note("jobs: throughput_per_s is sweep cells committed per second of the sweeps' evaluation stage (%d cells in %.2f s, from each \"planned\" event to its last \"cell\" event); p50_ms also counts submission, the base corpus, planning and the terminal record",
+		cells, evalTook.Seconds())
 }
 
 func rounded(xs []float64) []string {
@@ -323,9 +333,11 @@ func rounded(xs []float64) []string {
 	return s
 }
 
-// checkJobs validates every job and the repeat runs.
-func checkJobs(ctx context.Context, runs, again []jobRun, out *outcome) {
-	all := append(append([]jobRun{}, runs...), again...)
+// checkJobs validates every job and the repeated sweep, and checks that
+// each explore and the repeated sweep give byte-identical results to the
+// first job of their kind.
+func checkJobs(ctx context.Context, runs []jobRun, again jobRun, out *outcome) {
+	all := append(append([]jobRun{}, runs...), again)
 	errs := make([]error, len(all))
 	arch := make([]*sweepCellJSON, len(all))
 	parallel(len(all), func(i int) {
@@ -347,11 +359,15 @@ func checkJobs(ctx context.Context, runs, again []jobRun, out *outcome) {
 	if sweeps > 0 {
 		out.note("sweep finding: the architectural cell 0xBC/0x0F was refuted in %d of %d sweeps (each count equal to the exact per-call reference)", refuted, sweeps)
 	}
-	for k, r := range again {
-		if r.err != nil || runs[k].err != nil {
+	for _, r := range all[2:] {
+		first := runs[0]
+		if r.spec.kind == "sweep" {
+			first = runs[1]
+		}
+		if r.err != nil || first.err != nil || (r.spec.kind == "sweep" && r.spec.seed != first.spec.seed) {
 			continue
 		}
-		a, b := runs[k].status.Result, r.status.Result
+		a, b := first.status.Result, r.status.Result
 		if r.spec.kind == "sweep" {
 			var ra, rb sweepResultJSON
 			_ = json.Unmarshal(a, &ra) // both decoded fine in checkJob
@@ -360,7 +376,7 @@ func checkJobs(ctx context.Context, runs, again []jobRun, out *outcome) {
 			b, _ = json.Marshal(rb.Cells)
 		}
 		if !bytes.Equal(a, b) {
-			out.fail("%s job %s repeated as %s: results differ", r.spec.kind, runs[k].id, r.id)
+			out.fail("%s job %s repeated as %s: results differ", r.spec.kind, first.id, r.id)
 		}
 	}
 }

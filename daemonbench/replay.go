@@ -622,7 +622,10 @@ func traceStream(ctx context.Context, env *runEnv, out *outcome) error {
 	return te.finish(env, "stream", base, overheadPct(streamP50(plain), streamP50(traced)), quantile(traced.lateness, 0.99), out)
 }
 
-func streamP50(run *streamRun) float64 { return median(run.phaseA()) }
+func streamP50(run *streamRun) float64 {
+	lat, _ := run.phaseA()
+	return median(lat)
+}
 
 // replayStreamObs ingests the traced stream's first observations into an
 // incremental session and decides each through the layer functions.

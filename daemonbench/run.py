@@ -3,14 +3,14 @@
 
 Run from the repository root:
 
-    python3 daemonbench/run.py --workload verdicts --seed 1 --seconds 15 --trace 0
+    python3 daemonbench/run.py --workload verdicts --seed 1 --seconds 20 --trace 0
 
 The benchmark is its own Go module (daemonbench/go.mod) that uses the
 repository module through a local replace, so nothing is downloaded. The
-build and everything it caches stay under .bench_build/ in the current
-directory. After a successful build this process replaces itself with the
-benchmark binary, so no child process outlives it; a failed build exits
-non-zero without printing a result.
+build, everything it caches and every temporary file stay under
+.bench_build/ in the current directory. After a successful build this
+process replaces itself with the benchmark binary, so no child process
+outlives it; a failed build exits non-zero without printing a result.
 """
 
 import os
@@ -20,6 +20,7 @@ import sys
 HERE = os.path.dirname(os.path.abspath(__file__))
 BUILD = os.path.join(os.getcwd(), ".bench_build")
 BINARY = os.path.join(BUILD, "daemonbench", "bin", "daemonbench")
+TMP = os.path.join(BUILD, "tmp")
 BUILD_TIMEOUT_S = 840
 
 
@@ -35,6 +36,8 @@ def build_env():
         "GOSUMDB": "off",
         "GOTELEMETRY": "off",
         "GOFLAGS": "",
+        "GOTMPDIR": TMP,
+        "TMPDIR": TMP,
         "CGO_ENABLED": "0",
         "HOME": home,
         "XDG_CONFIG_HOME": os.path.join(home, ".config"),
@@ -45,6 +48,7 @@ def build_env():
 
 def main():
     os.makedirs(os.path.dirname(BINARY), exist_ok=True)
+    os.makedirs(TMP, exist_ok=True)
     try:
         subprocess.run(["go", "build", "-o", BINARY, "."], cwd=HERE, env=build_env(),
                        timeout=BUILD_TIMEOUT_S, check=True, stdout=sys.stderr)
@@ -52,7 +56,7 @@ def main():
         print(f"daemonbench: build failed: {err}", file=sys.stderr)
         return 1
     sys.stdout.flush()
-    os.execv(BINARY, [BINARY] + sys.argv[1:])
+    os.execve(BINARY, [BINARY] + sys.argv[1:], dict(os.environ, TMPDIR=TMP))
 
 
 if __name__ == "__main__":

@@ -127,6 +127,45 @@ func liveHeapMB() float64 {
 	return float64(ms.HeapAlloc) / (1 << 20)
 }
 
+// subWindows is how many equal parts of a measured phase a windowed
+// metric is computed over. The metric reports the median of the parts, so
+// a burst of host contention that covers one or two of them moves it
+// little; on a shared 2-core machine such bursts stretch whole seconds.
+const subWindows = 5
+
+// windowMedian splits [0, span) into subWindows equal parts, applies f to
+// the values whose offsets fall in each non-empty part (offsets past span
+// count in the last part) and returns the median of the results.
+func windowMedian(span time.Duration, at []time.Duration, vals []float64, f func([]float64) float64) float64 {
+	parts := make([][]float64, subWindows)
+	for i, a := range at {
+		k := min(max(int(int64(a)*subWindows/int64(span)), 0), subWindows-1)
+		parts[k] = append(parts[k], vals[i])
+	}
+	var per []float64
+	for _, p := range parts {
+		if len(p) > 0 {
+			per = append(per, f(p))
+		}
+	}
+	return median(per)
+}
+
+// rateOver returns a windowMedian function that turns one part's counts
+// into a rate per second.
+func rateOver(span time.Duration) func([]float64) float64 {
+	return func(counts []float64) float64 {
+		sum := 0.0
+		for _, c := range counts {
+			sum += c
+		}
+		return sum / (span / subWindows).Seconds()
+	}
+}
+
+// p50 is the median, as a windowMedian function.
+func p50(xs []float64) float64 { return quantile(xs, 0.5) }
+
 // median of xs (0 when empty).
 func median(xs []float64) float64 { return quantile(xs, 0.5) }
 

@@ -7,6 +7,9 @@ import (
 	"context"
 	"fmt"
 	"net/http"
+	"os"
+	"strconv"
+	"strings"
 )
 
 // statsSnap is the part of GET /stats the benchmark reads.
@@ -137,14 +140,45 @@ func snapshotPhase(ctx context.Context, c *http.Client, d *daemon, phase string,
 	if err != nil {
 		return statsDelta{}, fmt.Errorf("stats before %s: %w", phase, err)
 	}
+	steal0, total0 := hostCPUTicks()
 	if err := f(); err != nil {
 		return statsDelta{}, err
 	}
+	steal1, total1 := hostCPUTicks()
 	after, err := getStats(ctx, c, d)
 	if err != nil {
 		return statsDelta{}, fmt.Errorf("stats after %s: %w", phase, err)
 	}
 	dl := delta(before, after)
 	out.note("%s", dl.describe(phase))
+	if total1 > total0 {
+		out.note("%s: host steal %.1f%% of CPU time (%d of %d ticks)", phase,
+			100*float64(steal1-steal0)/float64(total1-total0), steal1-steal0, total1-total0)
+	}
 	return dl, nil
+}
+
+// hostCPUTicks reads the machine-wide steal and total CPU ticks from
+// /proc/stat (zeros where it is unavailable). Steal is time the
+// hypervisor ran something else while this machine's CPUs wanted to run.
+func hostCPUTicks() (steal, total uint64) {
+	b, err := os.ReadFile("/proc/stat")
+	if err != nil {
+		return 0, 0
+	}
+	line, _, _ := strings.Cut(string(b), "\n")
+	f := strings.Fields(line)
+	if len(f) < 9 || f[0] != "cpu" {
+		return 0, 0
+	}
+	// user nice system idle iowait irq softirq steal; guest time is
+	// already counted in user.
+	for i, s := range f[1:9] {
+		v, _ := strconv.ParseUint(s, 10, 64)
+		total += v
+		if i == 7 {
+			steal = v
+		}
+	}
+	return steal, total
 }

@@ -124,17 +124,18 @@ type streamEvent struct {
 // streamRun is what one drive sent and saw.
 type streamRun struct {
 	id       string
-	sent     int           // observations queued
-	seen     atomic.Int64  // verdict events received so far
-	dueFrom  int           // index of the first phase A observation
-	due      []time.Time   // phase A due times, from dueFrom on
-	lateness []float64     // phase A send lateness, ms
-	acks     []float64     // phase A ingest request round trips, ms
-	phaseB   int           // index of the first phase B observation
-	bStart   time.Time     // phase B window start
-	bEnd     time.Time     // phase B window end
-	arrivals []time.Time   // verdict event arrival, by index
-	verdicts []streamEvent // verdict events, by index
+	sent     int             // observations queued
+	seen     atomic.Int64    // verdict events received so far
+	dueFrom  int             // index of the first phase A observation
+	due      []time.Time     // phase A due times, from dueFrom on
+	lateness []float64       // phase A send lateness, ms
+	acks     []float64       // phase A ingest request round trips, ms
+	ackAt    []time.Duration // when each ack's request was sent, from phase A's start
+	phaseB   int             // index of the first phase B observation
+	bStart   time.Time       // phase B window start
+	bEnd     time.Time       // phase B window end
+	arrivals []time.Time     // verdict event arrival, by index
+	verdicts []streamEvent   // verdict events, by index
 	final    engine.StreamState
 	closed   bool
 }
@@ -169,12 +170,13 @@ func driveStream(ctx context.Context, in *streamInputs, c *http.Client, d *daemo
 		followErr = run.follow(fctx, c, d)
 	}()
 
+	spanA, spanB := phaseSpans(dur)
 	ingestErr := run.warmUp(ctx, in, c, d, followed)
 	if ingestErr == nil {
-		ingestErr = run.openLoop(ctx, in, c, d, dur*2/3)
+		ingestErr = run.openLoop(ctx, in, c, d, spanA)
 	}
 	if ingestErr == nil {
-		ingestErr = run.closedLoop(ctx, in, c, d, dur-dur*2/3)
+		ingestErr = run.closedLoop(ctx, in, c, d, spanB)
 	}
 	_, delErr := doJSON(ctx, c, "DELETE", d.url+"/v1/streams/"+run.id, nil, nil)
 	if delErr != nil {
@@ -205,12 +207,14 @@ func (run *streamRun) ingest(ctx context.Context, in *streamInputs, c *http.Clie
 	}
 	rctx, cancel := context.WithTimeout(ctx, requestTimeout)
 	defer cancel()
+	sentAt := time.Now()
 	cl, err := do(rctx, c, "POST", d.url+"/v1/streams/"+run.id+"/ingest", "application/x-ndjson", body.Bytes())
 	if err != nil {
 		return fmt.Errorf("ingest: %w", err)
 	}
 	if run.due != nil && run.bStart.IsZero() {
 		run.acks = append(run.acks, ms(cl.latency))
+		run.ackAt = append(run.ackAt, sentAt.Sub(run.due[0]))
 	}
 	if err := json.Unmarshal(cl.body, &sum); err != nil {
 		return err
@@ -273,16 +277,19 @@ func (run *streamRun) openLoop(ctx context.Context, in *streamInputs, c *http.Cl
 }
 
 // phaseA returns each phase A observation's latency from its due time to
-// its verdict event, in ms.
-func (run *streamRun) phaseA() []float64 {
-	var lat []float64
+// its verdict event, in ms, and its due time from phase A's start.
+func (run *streamRun) phaseA() (lat []float64, at []time.Duration) {
 	for i, due := range run.due {
 		if k := run.dueFrom + i; k < len(run.arrivals) {
 			lat = append(lat, ms(run.arrivals[k].Sub(due)))
+			at = append(at, due.Sub(run.due[0]))
 		}
 	}
-	return lat
+	return lat, at
 }
+
+// phaseSpans returns how long phases A and B were planned to take.
+func phaseSpans(dur time.Duration) (a, b time.Duration) { return dur * 2 / 3, dur - dur*2/3 }
 
 // closedLoop sends satBatch observations at a time, back to back.
 func (run *streamRun) closedLoop(ctx context.Context, in *streamInputs, c *http.Client, d *daemon, dur time.Duration) error {
@@ -374,23 +381,29 @@ func runStream(ctx context.Context, env *runEnv, out *outcome) error {
 	if driveErr != nil {
 		return driveErr
 	}
-	reportStream(run, in, heap, out)
+	reportStream(run, in, env.seconds, heap, out)
 	return checkStream(ctx, env, in, run, out)
 }
 
-func reportStream(run *streamRun, in *streamInputs, heap float64, out *outcome) {
-	lat := run.phaseA()
-	sat := 0
+// reportStream derives the end-to-end metrics: phase A's p50s and phase
+// B's rate are medians over sub-windows of each phase (see subWindows).
+func reportStream(run *streamRun, in *streamInputs, dur time.Duration, heap float64, out *outcome) {
+	lat, latAt := run.phaseA()
+	spanA, _ := phaseSpans(dur)
+	spanB := run.bEnd.Sub(run.bStart)
+	var ones []float64
+	var satAt []time.Duration
 	for k := run.phaseB; k < len(run.arrivals); k++ {
 		if !run.arrivals[k].After(run.bEnd) {
-			sat++
+			ones = append(ones, 1)
+			satAt = append(satAt, run.arrivals[k].Sub(run.bStart))
 		}
 	}
-	rate := float64(sat) / run.bEnd.Sub(run.bStart).Seconds()
+	rate := float64(len(ones)) / spanB.Seconds()
 	tv, tp, tn := tail(lat)
-	out.add("p50_ms", quantile(lat, 0.5), "ms")
-	out.add("throughput_per_s", rate, "1/s")
-	out.add("second_p50_ms", quantile(run.acks, 0.5), "ms")
+	out.add("p50_ms", windowMedian(spanA, latAt, lat, p50), "ms")
+	out.add("throughput_per_s", windowMedian(spanB, satAt, ones, rateOver(spanB)), "1/s")
+	out.add("second_p50_ms", windowMedian(spanA, run.ackAt, run.acks, p50), "ms")
 	out.figure("peak_rss_mb", peakRSSMB(), "MB")
 	out.figure("live_heap_mb", heap, "MB")
 	out.figure("stream_p50_ms", quantile(lat, 0.5), "ms")

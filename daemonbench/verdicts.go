@@ -24,20 +24,20 @@ import (
 )
 
 // The reader's request mix is a fixed pattern, so every run has the same
-// proportions and only the observations and repeat choices vary by seed.
+// proportions and only the observations vary by seed. The shares are
+// chosen, not measured: no trace of expert sessions gives them. A repeat
+// share keeps the verdict-cache hit path in the measured mix next to the
+// misses, and an /evaluate share keeps the corpus path in it.
 const (
-	// Every repeatEvery-th reader request resends the body of a random one
-	// of the last repeatWindow fresh requests byte for byte (25%, a
-	// verdict-cache hit).
-	repeatEvery  = 4
-	repeatWindow = 64
+	// Every repeatEvery-th reader request resends the body of the fresh
+	// request before it byte for byte (25%, a verdict-cache hit).
+	repeatEvery = 4
 	// Every evaluateEvery-th fresh request is an /evaluate call over
 	// evaluateSize observations (20%); the rest are single /test calls.
 	// Fresh requests cycle through the reader models in order.
 	evaluateEvery = 5
 	evaluateSize  = 4
-	// writerCombos bounds the never-seen combinations prepared per run
-	// (a multiple of comboStrata).
+	// writerCombos bounds the never-seen combinations prepared per run.
 	writerCombos = 240
 	// requestTimeout bounds one request of any workload.
 	requestTimeout = 60 * time.Second
@@ -46,7 +46,6 @@ const (
 // Observation stream ids (see runEnv.rng and obsPool.stream).
 const (
 	streamReaderObs = iota + 1
-	streamReaderOps
 	streamWriterObs
 	streamStreamObs
 	streamExploreObs
@@ -56,8 +55,9 @@ const (
 type readerOp struct {
 	model    string // catalogue name
 	evaluate bool
-	first, n int // observations [first, first+n) of the reader stream
-	repeatOf int // index of the op whose body this resends; -1 if fresh
+	first, n int           // observations [first, first+n) of the reader stream
+	repeatOf int           // index of the op whose body this resends; -1 if fresh
+	at       time.Duration // sent at, from the start of the drive
 	body     []byte
 	latency  time.Duration
 	resp     []byte
@@ -84,11 +84,7 @@ func newVerdictsInputs(env *runEnv) (*verdictsInputs, error) {
 	if err != nil {
 		return nil, err
 	}
-	combos, err := featureCombos(env.catalog, writerCombos)
-	if err != nil {
-		return nil, err
-	}
-	return &verdictsInputs{pool: pool, combos: combos}, nil
+	return &verdictsInputs{pool: pool, combos: featureCombos(env.catalog, writerCombos)}, nil
 }
 
 // verdictsRun is what one drive of the workload sent and received.
@@ -122,7 +118,7 @@ func driveVerdicts(ctx context.Context, env *runEnv, in *verdictsInputs, c *http
 	go func() {
 		defer wg.Done()
 		defer func() { panics[0] = recover() }()
-		run.reader = readerLoop(ctx, env, in, c, d, deadline)
+		run.reader = readerLoop(ctx, env, in, c, d, start, deadline)
 	}()
 	go func() {
 		defer wg.Done()
@@ -140,19 +136,16 @@ func driveVerdicts(ctx context.Context, env *runEnv, in *verdictsInputs, c *http
 	return run
 }
 
-func readerLoop(ctx context.Context, env *runEnv, in *verdictsInputs, c *http.Client, d *daemon, deadline time.Time) []readerOp {
-	rng := env.rng(streamReaderOps)
+func readerLoop(ctx context.Context, env *runEnv, in *verdictsInputs, c *http.Client, d *daemon, start, deadline time.Time) []readerOp {
 	obs := in.pool.stream(env.seed*31 + streamReaderObs)
 	next := 0 // next reader observation index
 	fresh := 0
 	var ops []readerOp
-	var recent []int // fresh ops eligible for a repeat
 	for k := 0; time.Now().Before(deadline) && ctx.Err() == nil; k++ {
 		op := readerOp{repeatOf: -1}
-		if len(recent) > 0 && k%repeatEvery == repeatEvery-1 {
-			idx := recent[rng.Intn(len(recent))]
-			orig := ops[idx]
-			op = readerOp{model: orig.model, evaluate: orig.evaluate, first: orig.first, n: orig.n, repeatOf: idx, body: orig.body}
+		if prev := len(ops) - 1; k%repeatEvery == repeatEvery-1 && ops[prev].body != nil {
+			orig := ops[prev]
+			op = readerOp{model: orig.model, evaluate: orig.evaluate, first: orig.first, n: orig.n, repeatOf: prev, body: orig.body}
 		} else {
 			op.model = readerModels[fresh%len(readerModels)]
 			op.evaluate = fresh%evaluateEvery == evaluateEvery-1
@@ -174,6 +167,7 @@ func readerLoop(ctx context.Context, env *runEnv, in *verdictsInputs, c *http.Cl
 			}
 			if err != nil {
 				op.err = err
+				op.body = nil
 				ops = append(ops, op)
 				continue
 			}
@@ -182,22 +176,22 @@ func readerLoop(ctx context.Context, env *runEnv, in *verdictsInputs, c *http.Cl
 		if op.evaluate {
 			url = d.url + "/v1/models/" + restrictedName(op.model) + "/evaluate"
 		}
+		op.at = time.Since(start)
 		rctx, cancel := context.WithTimeout(ctx, requestTimeout)
 		cl, err := do(rctx, c, "POST", url, "application/json", op.body)
 		cancel()
 		op.latency, op.resp, op.err = cl.latency, cl.body, err
-		ops = append(ops, op)
-		if op.repeatOf < 0 {
-			recent = append(recent, len(ops)-1)
-			if len(recent) > repeatWindow {
-				// Only the window's bodies stay referenced.
-				ops[recent[0]].body = nil
-				recent = recent[1:]
-			}
+		// Only the latest request's body can be resent.
+		if len(ops) > 0 {
+			ops[len(ops)-1].body = nil
 		}
+		if op.repeatOf >= 0 {
+			op.body = nil
+		}
+		ops = append(ops, op)
 	}
-	for i := range ops {
-		ops[i].body = nil
+	if len(ops) > 0 {
+		ops[len(ops)-1].body = nil
 	}
 	return ops
 }
@@ -258,19 +252,23 @@ func runVerdicts(ctx context.Context, env *runEnv, out *outcome) error {
 	if err := d.close(); err != nil {
 		return fmt.Errorf("close daemon: %w", err)
 	}
-	reportVerdicts(run, heap, out)
+	reportVerdicts(run, env.seconds, heap, out)
 	t0 = time.Now()
 	defer func() { out.note("outputs checked in %.2fs", time.Since(t0).Seconds()) }()
 	return checkVerdicts(ctx, env, in, run, out)
 }
 
-// reportVerdicts derives the end-to-end metrics from one drive.
-func reportVerdicts(run *verdictsRun, heap float64, out *outcome) {
-	var lat []float64
+// reportVerdicts derives the end-to-end metrics from one drive: the
+// reader's p50 and rate are medians over sub-windows (see subWindows).
+func reportVerdicts(run *verdictsRun, span time.Duration, heap float64, out *outcome) {
+	var lat, counts []float64
+	var at []time.Duration
 	verdicts := 0
 	for _, op := range run.reader {
 		if op.err == nil {
 			lat = append(lat, ms(op.latency))
+			counts = append(counts, float64(op.n))
+			at = append(at, op.at)
 			verdicts += op.n
 		}
 	}
@@ -283,8 +281,8 @@ func reportVerdicts(run *verdictsRun, heap float64, out *outcome) {
 	tv, tp, tn := tail(lat)
 	rv, rp, rn := tail(reg)
 	rate := float64(verdicts) / run.elapsed.Seconds()
-	out.add("p50_ms", quantile(lat, 0.5), "ms")
-	out.add("throughput_per_s", rate, "1/s")
+	out.add("p50_ms", windowMedian(span, at, lat, p50), "ms")
+	out.add("throughput_per_s", windowMedian(span, at, counts, rateOver(span)), "1/s")
 	out.add("second_p50_ms", quantile(reg, 0.5), "ms")
 	out.figure("peak_rss_mb", peakRSSMB(), "MB")
 	out.figure("live_heap_mb", heap, "MB")
@@ -297,6 +295,22 @@ func reportVerdicts(run *verdictsRun, heap float64, out *outcome) {
 	out.note("verdicts: verdict_tail_ms is p%g of %d reader requests (%d beyond it); register_tail_ms is p%g of %d writer cycles (%d beyond it)",
 		tp, len(lat), tn, rp, len(reg), rn)
 	out.note("verdicts: %d reader requests returned %d verdicts; %d writer cycles", len(run.reader), verdicts, len(run.writer))
+	var test, eval, rep []float64
+	for _, op := range run.reader {
+		switch {
+		case op.err != nil:
+		case op.repeatOf >= 0:
+			rep = append(rep, ms(op.latency))
+		case op.evaluate:
+			eval = append(eval, ms(op.latency))
+		default:
+			test = append(test, ms(op.latency))
+		}
+	}
+	out.note("verdicts: reader p25/p50/p75 ms: fresh /test %.2f/%.2f/%.2f (%d), /evaluate %.2f/%.2f/%.2f (%d), repeats %.2f/%.2f/%.2f (%d)",
+		quantile(test, .25), quantile(test, .5), quantile(test, .75), len(test),
+		quantile(eval, .25), quantile(eval, .5), quantile(eval, .75), len(eval),
+		quantile(rep, .25), quantile(rep, .5), quantile(rep, .75), len(rep))
 }
 
 // checkVerdicts compares every answer with a per-call reference verdict
